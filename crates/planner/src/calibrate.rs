@@ -16,7 +16,7 @@ use slimpipe_exec::layer::{
     layer_backward, layer_forward, DkvAccum, KvCache, LayerGrads, LayerParams, LocalAttn,
 };
 use slimpipe_exec::schedule::PipelineKind;
-use slimpipe_exec::{run_pipeline, ExecConfig};
+use slimpipe_exec::{run_pipeline, ExecConfig, SlicePolicy};
 use slimpipe_model::causal_pairs;
 use slimpipe_tensor::crossentropy;
 use slimpipe_tensor::init::{seeded_tokens, seeded_uniform};
@@ -176,11 +176,17 @@ fn time_embed_point(cfg: &ExecConfig, table: &Tensor, t: usize) -> (f64, f64) {
 /// single-core host the two regimes interleave on the same CPU and the
 /// honest answer is ≈ 0 — the fraction only opens up when stage threads
 /// (and the exchange servers they post to) actually run concurrently.
+///
+/// The probe runs `cfg`'s uniform twin: ragged lengths and per-microbatch
+/// slicing describe `cfg`'s own microbatches, not the probe's two.
 fn measure_overlap(cfg: &ExecConfig, repeats: usize) -> f64 {
     let step = |asynchronous: bool| -> f64 {
         let run_cfg = ExecConfig {
             stages: 2,
             microbatches: 2,
+            mb_seqs: None,
+            mb_slices: None,
+            slicing: SlicePolicy::Uniform,
             exchange: true,
             vocab_parallel: false,
             async_exchange: asynchronous,
@@ -312,5 +318,24 @@ mod tests {
             price(p.b0, p.bt, p.bp) > 0.0 && price(p.f0, p.ft, p.fp) > 0.0,
             "priced costs must be positive"
         );
+    }
+
+    #[test]
+    fn calibration_runs_on_a_ragged_config() {
+        let cfg = ExecConfig {
+            microbatches: 4,
+            mb_seqs: Some(vec![64, 48, 32, 16]),
+            slicing: SlicePolicy::PairBalanced,
+            ..ExecConfig::small()
+        };
+        cfg.validate().unwrap();
+        let opts = CalibrationOpts {
+            token_sizes: vec![8, 16, 32],
+            chunk_counts: vec![0, 1],
+            repeats: 1,
+        };
+        let p = calibrate(&cfg, &opts);
+        p.validate().unwrap();
+        assert_eq!(p.shape, shape_of(&cfg));
     }
 }

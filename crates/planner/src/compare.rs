@@ -109,10 +109,10 @@ pub fn compare_run(
             shape_of(cfg)
         ));
     }
-    let sim = simulate_config(cfg, profile);
     let counts: Vec<usize> = (0..cfg.microbatches).map(|mb| cfg.slices_of(mb)).collect();
     let sched = generate_var(cfg.stages, &counts)
         .map_err(|e| format!("workload geometry rejected: {e}"))?;
+    let sim = simulate_config(cfg, profile);
     let p = cfg.stages;
 
     let mut units = Vec::new();

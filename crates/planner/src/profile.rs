@@ -193,8 +193,8 @@ impl CostProfile {
             ef: num("ef")?,
             eb: num("eb")?,
             // Older committed profiles predate the overlap coefficient:
-            // absent means the serialized regime.
-            ov: num("ov").unwrap_or(0.0),
+            // absent means the serialized regime; present must parse.
+            ov: if text.contains("\"ov\":") { num("ov")? } else { 0.0 },
         };
         p.validate()?;
         Ok(p)
@@ -374,6 +374,13 @@ mod tests {
         let mut bad = toy_profile();
         bad.ov = 1.5;
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn malformed_overlap_coefficient_is_an_error() {
+        let json = toy_profile().to_json().replace("\"ov\": ", "\"ov\": x");
+        let err = CostProfile::from_json(&json).unwrap_err();
+        assert!(err.contains("ov"), "{err}");
     }
 
     #[test]

@@ -81,3 +81,21 @@ fn comparator_rejects_mismatched_inputs() {
     assert!(compare_run(&other, &profile, &empty).unwrap_err().contains("shape"));
     assert!(compare_run(&cfg, &profile, &empty).unwrap_err().contains("stage 0"));
 }
+
+/// A geometry the slice-wise generator cannot schedule — a 1F1B-shaped
+/// config, one slice per microbatch on two stages — is an error, not a
+/// panic.
+#[test]
+fn comparator_rejects_an_unschedulable_geometry() {
+    let cfg = workload();
+    let opts = CalibrationOpts {
+        token_sizes: vec![8, 16, 32],
+        chunk_counts: vec![0, 1],
+        repeats: 1,
+    };
+    let profile = calibrate(&cfg, &opts);
+    let unsliced = ExecConfig { slices: 1, ..cfg };
+    let empty = slimpipe_exec::obs::TraceReport::default();
+    let err = compare_run(&unsliced, &profile, &empty).unwrap_err();
+    assert!(err.contains("geometry"), "{err}");
+}

@@ -96,6 +96,11 @@ pub struct OpCost {
 /// inter-stage link. [`CostModel`] (the analytic cluster model) implements
 /// it; `slimpipe-planner` plugs in a micro-profiled model of the real
 /// executor kernels through the same interface.
+///
+/// The engine prices each op once. A cross-device pipeline edge is priced
+/// from the *producer's* [`OpCost::send_bytes`]: the transfer of a
+/// forward's activations to the next stage, or a backward's gradients to
+/// the previous one, starts when the producer ends.
 pub trait UnitCostModel {
     /// The schedule being priced.
     fn schedule(&self) -> &Schedule;
@@ -123,6 +128,15 @@ pub struct CostModel<'a> {
     /// run); those fall back to uniform averages instead of panicking the
     /// estimator.
     slicings: Vec<Option<Slicing>>,
+    /// First unit index of each microbatch, of `units` per chunk (see
+    /// `engine::unit_offsets`).
+    offset: Vec<usize>,
+    units: usize,
+    /// Every op's cost, priced once: a device enters an op's cost only
+    /// through whether its `(device, chunk)` runs the output layer, so
+    /// the table holds one entry per (kind, output flag, unit), laid out
+    /// by `CostModel::slot`.
+    table: Vec<OpCost>,
 }
 
 impl<'a> CostModel<'a> {
@@ -135,7 +149,32 @@ impl<'a> CostModel<'a> {
                     .then(|| Slicing::for_microbatch(&env.slicing, mb, seq, n))
             })
             .collect();
-        Self { sched, env, slicings }
+        let offset = crate::engine::unit_offsets(sched);
+        let units = sched.units_per_chunk();
+        let mut cm = Self { sched, env, slicings, offset, units, table: Vec::new() };
+        let mut table = vec![OpCost::default(); 6 * units];
+        for kind in [PassKind::Forward, PassKind::Backward, PassKind::BackwardWeight] {
+            for out in [false, true] {
+                for mb in 0..sched.microbatches as u32 {
+                    for slice in 0..sched.slices_of(mb as usize) as u32 {
+                        let op = WorkItem { kind, mb, slice, chunk: 0 };
+                        table[cm.slot(out, &op)] = cm.price(out, &op);
+                    }
+                }
+            }
+        }
+        cm.table = table;
+        cm
+    }
+
+    /// Table index of `op` priced with output flag `out`.
+    fn slot(&self, out: bool, op: &WorkItem) -> usize {
+        let kind = match op.kind {
+            PassKind::Forward => 0,
+            PassKind::Backward => 1,
+            PassKind::BackwardWeight => 2,
+        };
+        (2 * kind + out as usize) * self.units + self.offset[op.mb as usize] + op.slice as usize
     }
 
     /// Tokens one pass of `(mb, slice)` processes on one rank (that slice's
@@ -258,17 +297,28 @@ impl<'a> CostModel<'a> {
         t
     }
 
-    /// Output-layer compute added to this op, if any. Returns
-    /// `(flops, broadcast_seconds)`.
-    fn output_layer_share(&self, device: usize, op: &WorkItem) -> (f64, f64) {
+    /// Whether `device` runs its output-layer share when `op` passes
+    /// through: under vocabulary parallelism every device does, in its
+    /// last local chunk; classically only the device hosting the last
+    /// stage does.
+    fn runs_output_layer(&self, device: usize, op: &WorkItem) -> bool {
+        if self.env.vocab_parallel {
+            op.chunk as usize == self.sched.chunks - 1
+        } else {
+            self.sched.stage_of(device, op.chunk as usize) == self.sched.num_stages() - 1
+        }
+    }
+
+    /// Output-layer compute added to an op that runs the output layer
+    /// (`out`). Returns `(flops, broadcast_seconds)`.
+    fn output_layer_share(&self, out: bool, op: &WorkItem) -> (f64, f64) {
+        if !out {
+            return (0.0, 0.0);
+        }
         let m = &self.env.model;
         let tokens = self.unit_tokens(op.mb, op.slice).round() as u64;
         if self.env.vocab_parallel {
-            // Distributed over all p devices: each device contributes its
-            // share when the unit passes through its last local chunk.
-            if op.chunk as usize != self.sched.chunks - 1 {
-                return (0.0, 0.0);
-            }
+            // Distributed over all p devices.
             let cost = output_layer_cost(m, tokens, self.env.tp, self.sched.devices, true);
             let bcast = collectives::broadcast(
                 cost.broadcast_bytes,
@@ -278,10 +328,6 @@ impl<'a> CostModel<'a> {
             (cost.flops_per_device, bcast)
         } else {
             // Classic: everything on the device hosting the last stage.
-            let last = self.sched.num_stages() - 1;
-            if self.sched.stage_of(device, op.chunk as usize) != last {
-                return (0.0, 0.0);
-            }
             let cost = output_layer_cost(m, tokens, self.env.tp, self.sched.devices, false);
             (cost.flops_per_device, 0.0)
         }
@@ -289,6 +335,11 @@ impl<'a> CostModel<'a> {
 
     /// Cost of one work item on `device`.
     pub fn op_cost(&self, device: usize, op: &WorkItem) -> OpCost {
+        self.table[self.slot(self.runs_output_layer(device, op), op)]
+    }
+
+    /// Price `op` from the model, with the output-layer share iff `out`.
+    fn price(&self, out: bool, op: &WorkItem) -> OpCost {
         let env = self.env;
         let m = &env.model;
         let layers = self.layers_per_chunk();
@@ -299,7 +350,7 @@ impl<'a> CostModel<'a> {
         let attn_f = lf.attn * layers / env.tp as f64;
         let peak = env.cluster.gpu.peak_flops;
         let mean_kv = if tokens > 0.0 { pairs / tokens } else { 0.0 };
-        let (out_flops, out_bcast) = self.output_layer_share(device, op);
+        let (out_flops, out_bcast) = self.output_layer_share(out, op);
 
         let fwd_compute = |effphase: Phase| -> f64 {
             env.eff.op_time(OpClass::Gemm, effphase, gemm_f, tokens, peak)
@@ -397,6 +448,39 @@ mod tests {
 
     fn env() -> PipelineEnv {
         PipelineEnv::test_default(ModelConfig::llama_13b(), 131_072)
+    }
+
+    /// Every op's table entry is the price of that op on its device —
+    /// across kinds, per-microbatch slice counts, and both output-layer
+    /// placements.
+    #[test]
+    fn tabulated_costs_equal_fresh_prices() {
+        let schedules = [
+            slimpipe_core::schedule::generate_var(4, &[8, 4, 12]).unwrap(),
+            slimpipe_sched::zbv::generate_zbv(4, 4, slimpipe_sched::zbv::ZbCosts::default())
+                .unwrap(),
+            slimpipe_core::interleaved::generate(4, 2, 4, 8).unwrap(),
+        ];
+        for sched in &schedules {
+            for vocab_parallel in [false, true] {
+                let e = PipelineEnv {
+                    mb_seqs: Some((0..sched.microbatches as u64).map(|mb| 65_536 >> mb).collect()),
+                    slicing: SlicePolicy::PairBalanced,
+                    exchange: false,
+                    vocab_parallel,
+                    ..env()
+                };
+                let cm = CostModel::new(sched, &e);
+                for (d, ops) in sched.ops.iter().enumerate() {
+                    for op in ops {
+                        let got = cm.op_cost(d, op);
+                        let want = cm.price(cm.runs_output_layer(d, op), op);
+                        assert_eq!(got.duration.to_bits(), want.duration.to_bits(), "{op:?}@{d}");
+                        assert_eq!(got.send_bytes.to_bits(), want.send_bytes.to_bits());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

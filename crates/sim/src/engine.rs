@@ -4,15 +4,22 @@
 //!
 //! Devices execute their op lists strictly in order (the static-schedule
 //! contract); cross-device edges add a point-to-point transfer on the
-//! pipeline link. The fixed point is computed by iterative relaxation —
-//! the dependency graph is acyclic for any schedule accepted by
+//! pipeline link. The fixed point is computed by sweeping the devices and
+//! running each one's ops until the next waits on a pass not yet
+//! scheduled — the dependency graph is acyclic for any schedule accepted by
 //! `slimpipe_sched::validate`, so the loop terminates in at most
-//! `total_ops` rounds.
+//! `total_ops` sweeps.
+//!
+//! Dependency state is dense: a *unit* is one `(microbatch, slice)` pair,
+//! numbered `offset[mb] + slice`, and each pass kind keeps one table
+//! indexed by `stage · units + unit`. When a pass finishes it records both
+//! its end time and the time its output reaches the device of the stage
+//! that consumes it, priced from its own [`OpCost`], so every op is priced
+//! exactly once and a dependency check is two array reads.
 
-use crate::cost::UnitCostModel;
+use crate::cost::{OpCost, UnitCostModel};
 use crate::metrics;
-use slimpipe_sched::PassKind;
-use std::collections::HashMap;
+use slimpipe_sched::{PassKind, Schedule, WorkItem};
 
 /// Result of simulating one iteration's pipeline portion.
 #[derive(Clone, Debug)]
@@ -35,6 +42,37 @@ impl SimReport {
     }
 }
 
+/// A scheduled forward or backward pass of one unit at one stage: when it
+/// ended on its own device, and when its output is available on the device
+/// of the stage that consumes it (the next stage for a forward, the
+/// previous for a backward).
+#[derive(Clone, Copy)]
+struct Done {
+    end: f64,
+    arrive: f64,
+}
+
+impl Done {
+    /// Sentinel for a pass not yet scheduled (simulated times are never NaN).
+    const PENDING: Done = Done { end: f64::NAN, arrive: f64::NAN };
+
+    fn get(self) -> Option<Done> {
+        (!self.end.is_nan()).then_some(self)
+    }
+}
+
+/// First unit index of each microbatch: unit `(mb, slice)` is numbered
+/// `offset[mb] + slice`, densely over `0..sched.units_per_chunk()`.
+pub(crate) fn unit_offsets(sched: &Schedule) -> Vec<usize> {
+    (0..sched.microbatches)
+        .scan(0, |next, mb| {
+            let first = *next;
+            *next += sched.slices_of(mb);
+            Some(first)
+        })
+        .collect()
+}
+
 /// Simulate a schedule under any [`UnitCostModel`] — the analytic cluster
 /// model ([`crate::CostModel`]) or a calibrated profile of the real
 /// executor kernels (the planner's).
@@ -42,8 +80,19 @@ pub fn simulate<C: UnitCostModel + ?Sized>(cm: &C) -> SimReport {
     let sched = cm.schedule();
     let p = sched.devices;
     let link = cm.pipeline_link();
-    // finish[(kind, stage, mb, slice)] = (finish_time, device)
-    let mut finish: HashMap<(PassKind, usize, u32, u32), (f64, usize)> = HashMap::new();
+    let stages = sched.num_stages();
+    let last_stage = stages - 1;
+    let offset = unit_offsets(sched);
+    let units = sched.units_per_chunk();
+    let mut device_of = vec![0usize; stages];
+    for (d, row) in sched.stage_map.iter().enumerate() {
+        for &stage in row {
+            device_of[stage] = d;
+        }
+    }
+    // Weight-gradient passes have no consumers, so they need no table.
+    let mut fwd = vec![Done::PENDING; stages * units];
+    let mut bwd = vec![Done::PENDING; stages * units];
     let mut pc = vec![0usize; p];
     let mut dev_time = vec![0.0f64; p];
     let mut busy = vec![0.0f64; p];
@@ -54,58 +103,49 @@ pub fn simulate<C: UnitCostModel + ?Sized>(cm: &C) -> SimReport {
         .collect();
     let total: usize = sched.ops.iter().map(|o| o.len()).sum();
     let mut done = 0usize;
-    let last_stage = sched.num_stages() - 1;
 
-    // Earliest time all dependencies of op (on device d) are available,
-    // or None if some dependency has not been scheduled yet.
-    let dep_time = |d: usize,
-                    op: &slimpipe_sched::WorkItem,
-                    finish: &HashMap<(PassKind, usize, u32, u32), (f64, usize)>|
-     -> Option<f64> {
-        let stage = sched.stage_of(d, op.chunk as usize);
-        let arrival = |key: (PassKind, usize, u32, u32), cross_comm: bool| -> Option<f64> {
-            let &(t, src) = finish.get(&key)?;
-            Some(if cross_comm && src != d {
-                // Overlapped edges hide part of the transfer behind the
-                // sender's next compute; only the exposed share blocks.
-                let exposed = (1.0 - cm.edge_overlap(src, d)).clamp(0.0, 1.0);
-                t + exposed * link.transfer(cm.op_cost(src, op).send_bytes)
-            } else {
-                t
-            })
-        };
+    // Earliest time every dependency of `op` (table index `at`) is
+    // available on its device, or None while one is still pending.
+    let ready = |op: &WorkItem, stage: usize, at: usize, fwd: &[Done], bwd: &[Done]| {
         match op.kind {
             PassKind::Forward => {
                 let mut t = 0.0f64;
                 if stage > 0 {
-                    t = t.max(arrival((PassKind::Forward, stage - 1, op.mb, op.slice), true)?);
+                    t = t.max(fwd[at - units].get()?.arrive);
                 }
                 if op.slice > 0 {
-                    t = t.max(arrival(
-                        (PassKind::Forward, stage, op.mb, op.slice - 1),
-                        false,
-                    )?);
+                    t = t.max(fwd[at - 1].get()?.end);
                 }
                 Some(t)
             }
             PassKind::Backward => {
-                let mut t =
-                    arrival((PassKind::Forward, stage, op.mb, op.slice), false)?;
+                let mut t = fwd[at].get()?.end;
                 if stage < last_stage {
-                    t = t.max(arrival((PassKind::Backward, stage + 1, op.mb, op.slice), true)?);
+                    t = t.max(bwd[at + units].get()?.arrive);
                 }
                 if op.slice + 1 < sched.slices_of(op.mb as usize) as u32 {
-                    t = t.max(arrival(
-                        (PassKind::Backward, stage, op.mb, op.slice + 1),
-                        false,
-                    )?);
+                    t = t.max(bwd[at + 1].get()?.end);
                 }
                 Some(t)
             }
-            PassKind::BackwardWeight => {
-                arrival((PassKind::Backward, stage, op.mb, op.slice), false)
-            }
+            PassKind::BackwardWeight => Some(bwd[at].get()?.end),
         }
+    };
+    // When the output of a pass ending at `end` on device `d` reaches its
+    // consumer. Overlapped edges hide part of the transfer behind the
+    // sender's next compute; only the exposed share blocks.
+    let arrival = |kind: PassKind, stage: usize, d: usize, end: f64, cost: &OpCost| {
+        let consumer = match kind {
+            PassKind::Forward if stage < last_stage => stage + 1,
+            PassKind::Backward if stage > 0 => stage - 1,
+            _ => return end,
+        };
+        let dst = device_of[consumer];
+        if dst == d {
+            return end;
+        }
+        let exposed = (1.0 - cm.edge_overlap(d, dst)).clamp(0.0, 1.0);
+        end + exposed * link.transfer(cost.send_bytes)
     };
 
     while done < total {
@@ -113,15 +153,22 @@ pub fn simulate<C: UnitCostModel + ?Sized>(cm: &C) -> SimReport {
         for d in 0..p {
             while pc[d] < sched.ops[d].len() {
                 let op = sched.ops[d][pc[d]];
-                let Some(ready) = dep_time(d, &op, &finish) else { break };
+                debug_assert!((op.slice as usize) < sched.slices_of(op.mb as usize));
+                let stage = sched.stage_of(d, op.chunk as usize);
+                let at = stage * units + offset[op.mb as usize] + op.slice as usize;
+                let Some(ready) = ready(&op, stage, at, &fwd, &bwd) else { break };
                 let start = dev_time[d].max(ready);
                 let cost = cm.op_cost(d, &op);
                 let end = start + cost.duration;
                 dev_time[d] = end;
                 busy[d] += cost.duration;
                 timeline[d].push((start, end));
-                let stage = sched.stage_of(d, op.chunk as usize);
-                finish.insert((op.kind, stage, op.mb, op.slice), (end, d));
+                let finished = Done { end, arrive: arrival(op.kind, stage, d, end, &cost) };
+                match op.kind {
+                    PassKind::Forward => fwd[at] = finished,
+                    PassKind::Backward => bwd[at] = finished,
+                    PassKind::BackwardWeight => {}
+                }
                 pc[d] += 1;
                 done += 1;
                 progress = true;
@@ -138,6 +185,9 @@ pub fn simulate<C: UnitCostModel + ?Sized>(cm: &C) -> SimReport {
     let bubble_fraction = metrics::bubble_fraction(&busy, makespan);
     SimReport { makespan, busy, bubble_fraction, timeline, total_ops: total }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

@@ -1348,6 +1348,7 @@ mod tests {
     /// thread-count-independent either way.
     #[test]
     fn parallel_forward_and_backward_are_bit_deterministic() {
+        let _regime = crate::regime_lock();
         let cfg = HeadCfg::new(8, 2, 16);
         let s = 96; // n_heads * s * s * dh > PAR_ATTN_WORK
         let q = seeded_uniform(s, cfg.q_width(), 60);
@@ -1380,6 +1381,7 @@ mod tests {
     /// including across a ragged chunk split.
     #[test]
     fn scalar_and_gemm_regimes_agree() {
+        let _regime = crate::regime_lock();
         let cfg = HeadCfg::new(4, 2, 16);
         let s = 70; // ragged vs Q_BLOCK and KV_TILE
         let q = seeded_uniform(s, cfg.q_width(), 80);

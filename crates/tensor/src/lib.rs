@@ -39,3 +39,16 @@ pub use matmul::{Epilogue, PackedMat, PackedWeight, Prologue};
 pub use memtrack::MemCounter;
 pub use pool::PoolStats;
 pub use tensor::Tensor;
+
+/// Serializes the unit tests that force a process-wide kernel regime
+/// ([`with_attn_kernel`], [`matmul::with_kernel_nr`]) or bit-compare two
+/// kernel runs. The harness runs tests on parallel threads, so a regime
+/// another test forces between the two runs of a comparison would break
+/// the comparison, not the kernel.
+#[cfg(test)]
+pub(crate) fn regime_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A failed test poisons the lock; the regimes it forced are restored
+    // by the `with_*` guards, so later tests may proceed.
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}

@@ -1416,6 +1416,7 @@ mod tests {
     /// thread interleaving.
     #[test]
     fn parallel_execution_is_bit_deterministic() {
+        let _regime = crate::regime_lock();
         let a = seeded_uniform(200, 300, 50);
         let b = seeded_uniform(300, 110, 51);
         let seq = rayon::with_num_threads(1, || matmul(&a, &b));
@@ -1427,6 +1428,7 @@ mod tests {
     /// k-accumulation order is independent of the column tiling.
     #[test]
     fn kernel_widths_are_bit_identical() {
+        let _regime = crate::regime_lock();
         let a = seeded_uniform(70, 130, 60);
         let b = seeded_uniform(130, 90, 61);
         let narrow = with_kernel_nr(8, || matmul(&a, &b));
@@ -1441,6 +1443,7 @@ mod tests {
     /// stale-threshold regression this guards).
     #[test]
     fn packed_matches_unpacked_bitwise_at_every_size() {
+        let _regime = crate::regime_lock();
         for nr in [8usize, 16] {
             with_kernel_nr(nr, || {
                 for &(m, k, n) in &[
@@ -1469,6 +1472,7 @@ mod tests {
     /// In-place packed axpy must equal a fresh pack of the updated weight.
     #[test]
     fn packed_axpy_tracks_fresh_pack_bitwise() {
+        let _regime = crate::regime_lock();
         let w = seeded_uniform(33, 70, 77);
         let g = seeded_uniform(33, 70, 78);
         let mut pw = PackedWeight::new(w.clone());
@@ -1497,6 +1501,7 @@ mod tests {
     /// takes the single-chain small loop and the fallback must follow it.
     #[test]
     fn acc_variants_match_separate_add_bitwise() {
+        let _regime = crate::regime_lock();
         for k in [7usize, 40, KC, KC + 37] {
             let a = seeded_uniform(k, 33, k as u64);
             let b = seeded_uniform(k, 7, 1 + k as u64);
