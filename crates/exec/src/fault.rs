@@ -261,9 +261,8 @@ impl FaultPlan {
         Ok(Self { faults })
     }
 
-    /// The `SLIMPIPE_FAULT_PLAN` hook (mirrors the `SLIMPIPE_ATTN_KERNEL`
-    /// regime pattern): a value starting with `{` is inline JSON, anything
-    /// else is a path to a JSON file. Returns `Ok(None)` when unset or
+    /// The `SLIMPIPE_FAULT_PLAN` hook: a value starting with `{` is inline
+    /// JSON, anything else is a path to a JSON file. Returns `Ok(None)` when unset or
     /// empty. Consulted by `try_run_pipeline` / `try_resume_pipeline` and
     /// the recovery driver only when the config carries no explicit plan.
     pub fn from_env() -> Result<Option<Self>, String> {
@@ -286,11 +285,13 @@ fn parse_fault(obj: &str) -> Result<(FaultSite, FaultKind), String> {
     let num = |key: &str| -> Result<u64, String> {
         let pat = format!("\"{key}\":");
         let idx = obj.find(&pat).ok_or_else(|| format!("fault object missing \"{key}\""))?;
-        let raw: String = obj[idx + pat.len()..]
-            .chars()
-            .skip_while(|c| c.is_whitespace())
-            .take_while(|c| c.is_ascii_digit())
-            .collect();
+        // The value runs to the next field delimiter and must be all
+        // digits: `1.7` or `5e3` is an error, not a truncated 1 or 5.
+        let rest = &obj[idx + pat.len()..];
+        let raw = rest[..rest.find(',').unwrap_or(rest.len())].trim();
+        if raw.is_empty() || !raw.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(format!("fault object: bad number for \"{key}\""));
+        }
         raw.parse().map_err(|_| format!("fault object: bad number for \"{key}\""))
     };
     let kind_pat = "\"kind\":";
@@ -668,6 +669,21 @@ mod tests {
              \"kind\": \"meteor_strike\"}]}"
         )
         .is_err());
+        // Integer fields are whole digit runs, never truncated floats.
+        for bad in ["\"stage\": 1.7", "\"stage\": -1", "\"stage\": +1", "\"stage\": "] {
+            let text = format!(
+                "{{\"faults\": [{{\"iteration\": 1, {bad}, \"mb\": 0, \"slice\": 0, \
+                 \"kind\": \"stage_panic\"}}]}}"
+            );
+            assert!(FaultPlan::from_json(&text).unwrap_err().contains("stage"), "{bad}");
+        }
+        for bad in ["5e3", "5.0", "5ms"] {
+            let text = format!(
+                "{{\"faults\": [{{\"iteration\": 1, \"stage\": 0, \"mb\": 0, \"slice\": 0, \
+                 \"kind\": \"delay_reply\", \"ms\": {bad}}}]}}"
+            );
+            assert!(FaultPlan::from_json(&text).unwrap_err().contains("ms"), "{bad}");
+        }
     }
 
     #[test]

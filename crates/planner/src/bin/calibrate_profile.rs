@@ -1,6 +1,6 @@
-//! Calibrate cost profiles for the reference executor shape on this host —
-//! one per attention kernel regime — and print (or write) the keyed JSON;
-//! the tool that produced `crates/planner/profiles/reference.json`.
+//! Calibrate the cost profile for the reference executor shape on this
+//! host and print (or write) its JSON; the tool that produced
+//! `crates/planner/profiles/reference.json`.
 //!
 //! ```text
 //! cargo run --release -p slimpipe-planner --bin calibrate_profile [out.json]
@@ -8,7 +8,6 @@
 
 use slimpipe_exec::ExecConfig;
 use slimpipe_planner::{calibrate, CalibrationOpts};
-use slimpipe_tensor::{with_attn_kernel, AttnKernel};
 
 fn main() {
     let cfg = ExecConfig::small();
@@ -17,27 +16,11 @@ fn main() {
         chunk_counts: vec![0, 1, 3],
         repeats: 5,
     };
-    let mut out = String::from("{\n  \"regimes\": {\n");
-    let regimes = [AttnKernel::Scalar, AttnKernel::Gemm];
-    for (i, &regime) in regimes.iter().enumerate() {
-        eprintln!("calibrating {} regime...", regime.as_str());
-        let profile = with_attn_kernel(regime, || calibrate(&cfg, &opts));
-        assert_eq!(profile.regime, regime);
-        // Indent the single-profile JSON two levels under its regime key.
-        let block: String = profile
-            .to_json()
-            .trim_end()
-            .lines()
-            .map(|l| format!("    {l}\n"))
-            .collect();
-        out.push_str(&format!("    \"{}\": {}", regime.as_str(), block.trim()));
-        out.push_str(if i + 1 < regimes.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  }\n}\n");
+    let out = calibrate(&cfg, &opts).to_json();
     match std::env::args().nth(1) {
         Some(path) => {
             std::fs::write(&path, &out).expect("write profile");
-            eprintln!("profiles written to {path}");
+            eprintln!("profile written to {path}");
         }
         None => print!("{out}"),
     }

@@ -274,9 +274,6 @@ pub fn calibrate(cfg: &ExecConfig, opts: &CalibrationOpts) -> CostProfile {
 
     CostProfile {
         shape: shape_of(cfg),
-        // Timings above ran under the process's active attention regime;
-        // stamp it so the profile can't be priced against the other kernel.
-        regime: slimpipe_tensor::attn_kernel(),
         f0,
         ft,
         fp,

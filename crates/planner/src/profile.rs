@@ -13,7 +13,6 @@
 //! attention is `O(pairs)` with an `O(t)` softmax/merge edge, and the
 //! constants absorb per-call dispatch overhead.
 
-use slimpipe_tensor::AttnKernel;
 use std::fmt::Write as _;
 
 /// The model shape a profile was calibrated for — priced costs are only
@@ -37,12 +36,6 @@ impl ProfileShape {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostProfile {
     pub shape: ProfileShape,
-    /// The attention kernel regime (`SLIMPIPE_ATTN_KERNEL`) the timings
-    /// were taken under — attention dominates the pair slopes, so profiles
-    /// are only comparable within a regime. Committed reference profiles
-    /// are keyed by this tag; legacy single-profile JSON (no `"regime"`)
-    /// parses as [`AttnKernel::Scalar`], the kernel that produced it.
-    pub regime: AttnKernel,
     /// One transformer layer, forward: `f0 + ft·tokens + fp·pairs`.
     pub f0: f64,
     pub ft: f64,
@@ -117,7 +110,7 @@ impl CostProfile {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         let s = &self.shape;
-        let _ = writeln!(out, "  \"regime\": \"{}\",", self.regime.as_str());
+        let _ = writeln!(out, "  \"regime\": \"{}\",", slimpipe_tensor::attn_kernel().as_str());
         let _ = writeln!(
             out,
             "  \"shape\": {{\"heads\": {}, \"kv_heads\": {}, \"head_dim\": {}, \
@@ -139,47 +132,60 @@ impl CostProfile {
 
     /// Parse the JSON format [`CostProfile::to_json`] writes. The scanner
     /// is deliberately minimal (the same style as the bench snapshot
-    /// reader): it looks for `"key": number` pairs, so field order and
-    /// whitespace are free.
+    /// reader): it looks for `"key": value` pairs, so field order and
+    /// whitespace are free. A value is the whole JSON number token up to
+    /// its delimiter and must parse in full; shape fields must be
+    /// non-negative integers. The `"regime"` tag is required and must name
+    /// the attention implementation the timings were taken under
+    /// (`"gemm"`): attention dominates the pair slopes, and an untagged
+    /// profile predates the current kernel.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let num = |key: &str| -> Result<f64, String> {
+        let token = |key: &str| -> Result<&str, String> {
             let pat = format!("\"{key}\":");
             let idx = text
                 .find(&pat)
                 .ok_or_else(|| format!("profile JSON missing \"{key}\""))?;
             let rest = text[idx + pat.len()..].trim_start();
-            let lit: String = rest
-                .chars()
-                .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-                .collect();
-            lit.parse::<f64>()
-                .map_err(|e| format!("profile JSON field {key}: {e}"))
-        };
-        let shape = ProfileShape {
-            heads: num("heads")? as usize,
-            kv_heads: num("kv_heads")? as usize,
-            head_dim: num("head_dim")? as usize,
-            ffn: num("ffn")? as usize,
-            vocab: num("vocab")? as usize,
-        };
-        // `"regime": "<tag>"` — a string, so it gets its own tiny scan.
-        // Absent (legacy single-profile JSON) means the scalar kernel that
-        // produced those profiles; an unknown tag is a hand-editing error.
-        let regime = match text.find("\"regime\":") {
-            None => AttnKernel::Scalar,
-            Some(idx) => {
-                let rest = text[idx + "\"regime\":".len()..].trim_start();
-                let tag: String = rest
-                    .strip_prefix('"')
-                    .map(|r| r.chars().take_while(|c| *c != '"').collect())
-                    .ok_or_else(|| "profile JSON regime is not a string".to_string())?;
-                AttnKernel::parse(&tag)
-                    .ok_or_else(|| format!("profile JSON unknown regime \"{tag}\""))?
+            let end = rest
+                .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
+                .unwrap_or(rest.len());
+            match rest[end..].trim_start().chars().next() {
+                None | Some(',' | '}') => Ok(&rest[..end]),
+                Some(_) => Err(format!("profile JSON field {key}: not a number")),
             }
         };
+        let num = |key: &str| -> Result<f64, String> {
+            token(key)?
+                .parse::<f64>()
+                .map_err(|e| format!("profile JSON field {key}: {e}"))
+        };
+        let int = |key: &str| -> Result<usize, String> {
+            token(key)?
+                .parse::<usize>()
+                .map_err(|_| format!("profile JSON field {key}: not a non-negative integer"))
+        };
+        let shape = ProfileShape {
+            heads: int("heads")?,
+            kv_heads: int("kv_heads")?,
+            head_dim: int("head_dim")?,
+            ffn: int("ffn")?,
+            vocab: int("vocab")?,
+        };
+        // `"regime": "<tag>"` — a string, so it gets its own tiny scan.
+        let want = slimpipe_tensor::attn_kernel().as_str();
+        let idx = text
+            .find("\"regime\":")
+            .ok_or("profile JSON missing \"regime\" (untagged profiles predate the gemm kernel)")?;
+        let tag: String = text[idx + "\"regime\":".len()..]
+            .trim_start()
+            .strip_prefix('"')
+            .map(|r| r.chars().take_while(|c| *c != '"').collect())
+            .ok_or("profile JSON regime is not a string")?;
+        if tag != want {
+            return Err(format!("profile JSON regime \"{tag}\" is not \"{want}\""));
+        }
         let p = CostProfile {
             shape,
-            regime,
             f0: num("f0")?,
             ft: num("ft")?,
             fp: num("fp")?,
@@ -300,7 +306,6 @@ mod tests {
     fn toy_profile() -> CostProfile {
         CostProfile {
             shape: ProfileShape { heads: 4, kv_heads: 2, head_dim: 8, ffn: 64, vocab: 96 },
-            regime: AttnKernel::Gemm,
             f0: 1000.0,
             ft: 50.0,
             fp: 2.0,
@@ -322,29 +327,23 @@ mod tests {
         let p = toy_profile();
         let q = CostProfile::from_json(&p.to_json()).unwrap();
         assert_eq!(p.shape, q.shape);
-        assert_eq!(p.regime, q.regime);
         assert!((p.ft - q.ft).abs() < 1e-3);
         assert!((p.bp - q.bp).abs() < 1e-3);
         assert!((p.hbt - q.hbt).abs() < 1e-3);
     }
 
     #[test]
-    fn regime_tag_roundtrips_and_legacy_defaults_to_scalar() {
-        let mut p = toy_profile();
-        p.regime = AttnKernel::Scalar;
-        assert_eq!(CostProfile::from_json(&p.to_json()).unwrap().regime, AttnKernel::Scalar);
-        // Pre-PR-8 committed profiles carry no regime key: they were
-        // measured under the (then only) scalar kernel.
-        let legacy: String = toy_profile()
-            .to_json()
-            .lines()
-            .filter(|l| !l.contains("\"regime\""))
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert_eq!(CostProfile::from_json(&legacy).unwrap().regime, AttnKernel::Scalar);
-        // An unknown tag is a hand-editing error, not a silent default.
-        let bad = toy_profile().to_json().replace("\"gemm\"", "\"simd\"");
-        assert!(CostProfile::from_json(&bad).is_err());
+    fn regime_tag_is_required_and_must_be_gemm() {
+        let json = toy_profile().to_json();
+        assert!(json.contains("\"regime\": \"gemm\""), "{json}");
+        // Untagged profiles were measured under the retired scalar kernel.
+        let untagged: String =
+            json.lines().filter(|l| !l.contains("\"regime\"")).collect::<Vec<_>>().join("\n");
+        assert!(CostProfile::from_json(&untagged).is_err());
+        for tag in ["\"scalar\"", "\"simd\"", "7"] {
+            let bad = json.replace("\"gemm\"", tag);
+            assert!(CostProfile::from_json(&bad).is_err(), "{tag}");
+        }
     }
 
     #[test]
@@ -353,6 +352,27 @@ mod tests {
         let mut p = toy_profile();
         p.bt = -1.0;
         assert!(CostProfile::from_json(&p.to_json()).is_err());
+        // Shape fields are non-negative integers, not truncated floats.
+        let json = toy_profile().to_json();
+        for bad in ["\"heads\": 4.9", "\"heads\": -4", "\"heads\": 4e0", "\"heads\": 4x"] {
+            let text = json.replace("\"heads\": 4", bad);
+            let err = CostProfile::from_json(&text).unwrap_err();
+            assert!(err.contains("heads"), "{bad}: {err}");
+        }
+        // A coefficient is one whole number token that parses in full.
+        let text = json.replace("\"f0\": 1000.0000", "\"f0\": 1.5e3.2");
+        assert!(CostProfile::from_json(&text).is_err());
+    }
+
+    #[test]
+    fn from_json_reads_whole_exponent_tokens() {
+        let json = toy_profile().to_json();
+        for lit in ["1.5E3", "1.5e+3", "1.5e3", "15e2", "1500"] {
+            let text = json.replace("\"f0\": 1000.0000", &format!("\"f0\": {lit}"));
+            assert_eq!(CostProfile::from_json(&text).unwrap().f0, 1500.0, "{lit}");
+        }
+        let text = json.replace("\"ov\": 0.2500", "\"ov\": 2.5E-1");
+        assert_eq!(CostProfile::from_json(&text).unwrap().ov, 0.25);
     }
 
     #[test]

@@ -33,22 +33,21 @@ pub mod shared;
 pub mod swiglu;
 pub mod tensor;
 
-pub use attention::{attn_kernel, merge_partials, set_attn_kernel, with_attn_kernel, AttnKernel,
-    AttnPartial, FlashStats};
+pub use attention::{attn_kernel, merge_partials, AttnKernel, AttnPartial, FlashStats};
 pub use matmul::{Epilogue, PackedMat, PackedWeight, Prologue};
 pub use memtrack::MemCounter;
 pub use pool::PoolStats;
 pub use tensor::Tensor;
 
-/// Serializes the unit tests that force a process-wide kernel regime
-/// ([`with_attn_kernel`], [`matmul::with_kernel_nr`]) or bit-compare two
-/// kernel runs. The harness runs tests on parallel threads, so a regime
+/// Serializes the unit tests that force the process-wide GEMM micro-kernel
+/// width (`KERNEL_NR`, via [`matmul::with_kernel_nr`]) or bit-compare two
+/// kernel runs. The harness runs tests on parallel threads, so a width
 /// another test forces between the two runs of a comparison would break
 /// the comparison, not the kernel.
 #[cfg(test)]
 pub(crate) fn regime_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    // A failed test poisons the lock; the regimes it forced are restored
-    // by the `with_*` guards, so later tests may proceed.
+    // A failed test poisons the lock; the width it forced is restored by
+    // the `with_kernel_nr` guard, so later tests may proceed.
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }

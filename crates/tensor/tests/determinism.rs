@@ -19,8 +19,7 @@
 
 use proptest::prelude::*;
 use slimpipe_tensor::attention::{
-    backward_chunk, backward_chunked, d_rows, forward_chunked, with_attn_kernel, AttnKernel,
-    HeadCfg,
+    backward_chunk, backward_chunked, d_rows, forward_chunked, HeadCfg,
 };
 use slimpipe_tensor::init::seeded_uniform;
 use slimpipe_tensor::Tensor;
@@ -82,31 +81,20 @@ proptest! {
         let v = seeded_uniform(s, cfg.kv_width(), seed + 2);
         let d_o = seeded_uniform(s, cfg.q_width(), seed + 3);
 
-        // Both kernel regimes must hold the width-independence contract
-        // on their own bits (the regimes differ from each other — that
-        // cross-check is tolerance-gated in tests/properties.rs).
-        for kernel in [AttnKernel::Scalar, AttnKernel::Gemm] {
-            let (reference, others) = with_attn_kernel(kernel, || {
-                let reference = run_all_paths(WIDTHS[0], cfg, &q, &k, &v, &d_o, nchunks);
-                let others: Vec<_> = WIDTHS[1..]
-                    .iter()
-                    .map(|&w| run_all_paths(w, cfg, &q, &k, &v, &d_o, nchunks))
-                    .collect();
-                (reference, others)
-            });
-            for (got, &w) in others.iter().zip(&WIDTHS[1..]) {
-                prop_assert_eq!(&got.0, &reference.0, "{:?}: forward O differs at width {}", kernel, w);
-                prop_assert_eq!(&got.1, &reference.1, "{:?}: lse differs at width {}", kernel, w);
-                prop_assert_eq!(&got.2, &reference.2, "{:?}: dQ differs at width {}", kernel, w);
-                prop_assert_eq!(got.3.len(), reference.3.len());
-                for (c, ((dk, dv), (rk, rv))) in got.3.iter().zip(&reference.3).enumerate() {
-                    prop_assert_eq!(dk, rk, "{:?}: dK chunk {} differs at width {}", kernel, c, w);
-                    prop_assert_eq!(dv, rv, "{:?}: dV chunk {} differs at width {}", kernel, c, w);
-                }
-                prop_assert_eq!(&got.4.0, &reference.4.0, "{:?}: exchanged dQ differs at width {}", kernel, w);
-                prop_assert_eq!(&got.4.1, &reference.4.1, "{:?}: exchanged dK differs at width {}", kernel, w);
-                prop_assert_eq!(&got.4.2, &reference.4.2, "{:?}: exchanged dV differs at width {}", kernel, w);
+        let reference = run_all_paths(WIDTHS[0], cfg, &q, &k, &v, &d_o, nchunks);
+        for &w in &WIDTHS[1..] {
+            let got = run_all_paths(w, cfg, &q, &k, &v, &d_o, nchunks);
+            prop_assert_eq!(&got.0, &reference.0, "forward O differs at width {}", w);
+            prop_assert_eq!(&got.1, &reference.1, "lse differs at width {}", w);
+            prop_assert_eq!(&got.2, &reference.2, "dQ differs at width {}", w);
+            prop_assert_eq!(got.3.len(), reference.3.len());
+            for (c, ((dk, dv), (rk, rv))) in got.3.iter().zip(&reference.3).enumerate() {
+                prop_assert_eq!(dk, rk, "dK chunk {} differs at width {}", c, w);
+                prop_assert_eq!(dv, rv, "dV chunk {} differs at width {}", c, w);
             }
+            prop_assert_eq!(&got.4.0, &reference.4.0, "exchanged dQ differs at width {}", w);
+            prop_assert_eq!(&got.4.1, &reference.4.1, "exchanged dK differs at width {}", w);
+            prop_assert_eq!(&got.4.2, &reference.4.2, "exchanged dV differs at width {}", w);
         }
     }
 
